@@ -11,7 +11,7 @@ import (
 func TestDeterminism(t *testing.T) {
 	run := func() *Results {
 		cfg := config.Default().WithVariant(config.RWoWRDE)
-		s, err := Build(cfg, "MP6")
+		s, err := New(WithConfig(cfg), WithWorkload("MP6"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestSeedChangesResults(t *testing.T) {
 	run := func(seed uint64) float64 {
 		cfg := config.Default()
 		cfg.Seed = seed
-		s, err := Build(cfg, "MP4")
+		s, err := New(WithConfig(cfg), WithWorkload("MP4"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestSeedChangesResults(t *testing.T) {
 // address spaces).
 func TestMultithreadedCoherenceTraffic(t *testing.T) {
 	run := func(mix string) (uint64, uint64) {
-		s, err := Build(config.Default(), mix)
+		s, err := New(WithConfig(config.Default()), WithWorkload(mix))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestAllVariantsRunAllMixes(t *testing.T) {
 	}
 	for _, mix := range []string{"canneal", "freqmine", "MP1", "MP4", "stream"} {
 		for _, v := range config.Variants {
-			s, err := Build(config.Default().WithVariant(v), mix)
+			s, err := New(WithConfig(config.Default().WithVariant(v)), WithWorkload(mix))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", mix, v, err)
 			}
@@ -111,7 +111,7 @@ func TestWearLevelingFullSystem(t *testing.T) {
 	run := func(psi uint64) (float64, uint64) {
 		cfg := config.Default() // baseline: no rotation, worst imbalance
 		cfg.Memory.WearLevelPsi = psi
-		s, err := Build(cfg, "MP4")
+		s, err := New(WithConfig(cfg), WithWorkload("MP4"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,6 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
@@ -79,24 +78,52 @@ func (t *Writer) Flush() error {
 	return t.w.Flush()
 }
 
+// decodeError is the typed error Reader.Read returns for input that is
+// not a replayable trace: a short or foreign header, a truncated record,
+// or a record whose fields Replay cannot schedule. record is the
+// offending record's 0-based index, or -1 for the header; err is the
+// underlying read error, if any.
+type decodeError struct {
+	record int64
+	reason string
+	err    error
+}
+
+func (e *decodeError) Error() string {
+	msg := "trace: " + e.reason
+	if e.record >= 0 {
+		msg = fmt.Sprintf("trace: record %d: %s", e.record, e.reason)
+	}
+	if e.err != nil {
+		msg += ": " + e.err.Error()
+	}
+	return msg
+}
+
+func (e *decodeError) Unwrap() error { return e.err }
+
 // Reader streams records from an io.Reader.
 type Reader struct {
 	r      *bufio.Reader
 	header bool
+	n      int64 // records read so far
 }
 
 // NewReader returns a trace reader.
 func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
 
-// Read returns the next record; io.EOF at the end.
+// Read returns the next record; io.EOF at the end. Every other failure
+// is a *decodeError: a record with a negative timestamp or a request
+// kind other than read or write is rejected rather than handed to
+// Replay, which could neither schedule nor complete it.
 func (t *Reader) Read() (Record, error) {
 	if !t.header {
 		var h [16]byte
 		if _, err := io.ReadFull(t.r, h[:]); err != nil {
-			return Record{}, fmt.Errorf("trace: reading header: %w", err)
+			return Record{}, &decodeError{record: -1, reason: "reading header", err: err}
 		}
 		if h != magic {
-			return Record{}, errors.New("trace: bad magic (not a PCMap trace)")
+			return Record{}, &decodeError{record: -1, reason: "bad magic (not a PCMap trace)"}
 		}
 		t.header = true
 	}
@@ -105,15 +132,24 @@ func (t *Reader) Read() (Record, error) {
 		if err == io.EOF {
 			return Record{}, io.EOF
 		}
-		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
+		return Record{}, &decodeError{record: t.n, reason: "truncated record", err: err}
 	}
-	return Record{
+	idx := t.n
+	t.n++
+	rec := Record{
 		At:   sim.Time(binary.LittleEndian.Uint64(buf[0:])),
 		Addr: binary.LittleEndian.Uint64(buf[8:]),
 		Kind: mem.Kind(buf[16]),
 		Mask: buf[17],
 		Core: int8(buf[18]),
-	}, nil
+	}
+	switch {
+	case rec.At < 0:
+		return Record{}, &decodeError{record: idx, reason: fmt.Sprintf("negative timestamp %d ticks", rec.At.Ticks())}
+	case rec.Kind != mem.Read && rec.Kind != mem.Write:
+		return Record{}, &decodeError{record: idx, reason: fmt.Sprintf("unknown request kind %d", int(rec.Kind))}
+	}
+	return rec, nil
 }
 
 // ReadAll drains the reader.

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"testing"
 
@@ -77,6 +79,52 @@ func TestTruncatedRecord(t *testing.T) {
 	r := NewReader(bytes.NewReader(data))
 	if _, err := r.Read(); err == nil || err == io.EOF {
 		t.Fatalf("truncated record should be a hard error, got %v", err)
+	}
+}
+
+// rawRecord encodes one 24-byte record with arbitrary field values,
+// including ones Writer never produces.
+func rawRecord(at uint64, addr uint64, kind, mask, core byte) []byte {
+	var b [recordBytes]byte
+	binary.LittleEndian.PutUint64(b[0:], at)
+	binary.LittleEndian.PutUint64(b[8:], addr)
+	b[16], b[17], b[18] = kind, mask, core
+	return b[:]
+}
+
+// TestReadRejectsUnreplayableRecords pins the reader's validation: a
+// timestamp with bit 63 set (negative sim.Time, which Replay would
+// schedule before now) and a request kind other than read/write (which
+// the controller would queue but never complete) are each reported as
+// a typed error naming the record's index.
+func TestReadRejectsUnreplayableRecords(t *testing.T) {
+	good := rawRecord(100, 64, byte(mem.Write), 0x3, 1)
+	cases := []struct {
+		name string
+		rec  []byte
+	}{
+		{"negative timestamp", rawRecord(1<<64-1000, 64, byte(mem.Read), 0, 0)},
+		{"unknown kind", rawRecord(100, 64, 7, 0, 0)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			data := append(append(append([]byte{}, magic[:]...), good...), c.rec...)
+			r := NewReader(bytes.NewReader(data))
+			if _, err := r.Read(); err != nil {
+				t.Fatalf("record 0 is valid: %v", err)
+			}
+			_, err := r.Read()
+			var de *decodeError
+			if !errors.As(err, &de) {
+				t.Fatalf("want *decodeError, got %T %v", err, err)
+			}
+			if de.record != 1 {
+				t.Errorf("error names record %d, want 1 (%v)", de.record, err)
+			}
+			if _, err := NewReader(bytes.NewReader(data)).ReadAll(); !errors.As(err, &de) {
+				t.Errorf("ReadAll: want *decodeError, got %v", err)
+			}
+		})
 	}
 }
 
