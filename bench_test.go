@@ -16,6 +16,7 @@ import (
 	"pcmap/internal/obs"
 	"pcmap/internal/pcm"
 	"pcmap/internal/sim"
+	"pcmap/internal/stats"
 	"pcmap/internal/system"
 	"pcmap/internal/workloads"
 
@@ -579,4 +580,47 @@ func BenchmarkControllerRequests(b *testing.B) {
 		}
 	}
 	eng.Run()
+}
+
+// BenchmarkIRLPStream measures the online IRLP sweep on a stream shaped
+// like one rank's service reports: reads whose weighted chip service
+// starts at the report time and, every fourth report, a write window
+// starting a little later. Each interval holds one of irlpInFlight
+// slots until it ends, so the pending heap must stay within two deltas
+// per slot however long the stream runs (reported as peak-pending), and
+// the warm sweep must not allocate.
+func BenchmarkIRLPStream(b *testing.B) {
+	const irlpInFlight = 32
+	x := stats.NewIRLP()
+	rng := sim.NewRNG(11)
+	var ends [irlpInFlight]sim.Time
+	var now sim.Time
+	peak := 0
+	report := func(i int) {
+		slot := i % irlpInFlight
+		now = max(now+sim.Time(1+rng.Intn(8)), ends[slot])
+		if i%4 == 0 {
+			start := now + sim.Time(rng.Intn(50))
+			ends[slot] = start + sim.Time(1000+rng.Intn(1000))
+			x.AddWriteWindow(now, start, ends[slot])
+		} else {
+			ends[slot] = now + sim.Time(150+rng.Intn(150))
+			x.AddChipService(now, now, ends[slot], 10)
+		}
+		peak = max(peak, x.Pending())
+	}
+	for i := 0; i < 10_000; i++ {
+		report(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		report(i)
+	}
+	b.StopTimer()
+	if peak > 2*irlpInFlight {
+		b.Fatalf("pending heap peaked at %d deltas for %d open intervals", peak, irlpInFlight)
+	}
+	b.ReportMetric(float64(peak), "peak-pending")
+	x.Finalize(8)
 }

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"math/bits"
@@ -59,9 +60,12 @@ func usage() {
 
 func validateFlags() (*flag.FlagSet, *string) {
 	fs := flag.NewFlagSet("validate", flag.ExitOnError)
-	return fs, cli.In(fs, "trace.json", "timeline trace (Chrome trace_event JSON written by pcmapsim -trace)")
+	return fs, cli.In(fs, "trace.json", "timeline trace (Chrome trace_event JSON written by pcmapsim -trace) or PCM request trace (written by pcmaptrace gen)")
 }
 
+// cmdValidate checks a timeline trace, or — when the file starts with
+// the request-trace header — a PCM request trace: every record must
+// decode and address the default memory geometry's capacity.
 func cmdValidate(args []string) error {
 	fs, in := validateFlags()
 	fs.Parse(args)
@@ -71,11 +75,32 @@ func cmdValidate(args []string) error {
 		return err
 	}
 	defer f.Close()
-	if err := obs.Validate(f); err != nil {
+	br := bufio.NewReader(f)
+	if head, _ := br.Peek(64); trace.HasHeader(head) {
+		recs, err := trace.NewReader(br).ReadAll()
+		if err == nil {
+			err = checkDefaultCapacity(recs)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", *in, err)
+		}
+		fmt.Printf("%s: valid PCM request trace (%d records)\n", *in, len(recs))
+		return nil
+	}
+	if err := obs.Validate(br); err != nil {
 		return fmt.Errorf("%s: %w", *in, err)
 	}
 	fmt.Printf("%s: valid trace_event JSON\n", *in)
 	return nil
+}
+
+// checkDefaultCapacity checks recs against the address map replay uses.
+func checkDefaultCapacity(recs []trace.Record) error {
+	amap, err := mem.NewAddrMap(config.Default().Memory.Geometry())
+	if err != nil {
+		return err
+	}
+	return trace.CheckCapacity(recs, amap)
 }
 
 // genFlags, infoFlags, and replayFlags build each subcommand's flag
@@ -217,6 +242,9 @@ func cmdReplay(args []string) error {
 	m, err := core.NewMemory(eng, cfg)
 	if err != nil {
 		return err
+	}
+	if err := trace.CheckCapacity(recs, m.AMap); err != nil {
+		return fmt.Errorf("%s: %w", *in, err)
 	}
 	st := trace.Replay(eng, m, recs)
 	eng.Run()

@@ -110,3 +110,19 @@ func TestPausingIgnoredByPCMapVariants(t *testing.T) {
 		t.Fatal("fine-grained variants must not use the pausing path")
 	}
 }
+
+// TestPausingIRLPCountsDirtyChips: each segment of a paused write
+// serves data on one chip per dirty word, so a lone write with three
+// dirty words peaks at three busy chips.
+func TestPausingIRLPCountsDirtyChips(t *testing.T) {
+	eng, m, d := pausingMemory(t, true)
+	var data [64]byte
+	for i := range data {
+		data[i] = 0xa5
+	}
+	d.submit(&mem.Request{Kind: mem.Write, Addr: lineAddr(5), Mask: 0x0b, Data: &data})
+	eng.Run()
+	if _, peak := m.IRLP(); peak != 3 {
+		t.Fatalf("IRLP peak %d during a three-word paused write, want 3", peak)
+	}
+}

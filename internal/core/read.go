@@ -161,8 +161,8 @@ func (c *Controller) issueRead(r *mem.Request, p readPlan) {
 	for _, chip := range involved {
 		c.reserveChipPart(chip, p.coord.Bank, p.part, now, done-now)
 		c.rank.Chips[chip].OpenRowIn(p.coord.Bank, p.coord.Row)
-		c.Metrics.IRLP.AddChipService(now, done)
 	}
+	c.Metrics.IRLP.AddChipService(now, now, done, len(involved))
 
 	// Functional data path. Drift is sampled at the instant the arrays
 	// are sensed, so the same read that triggers a flip also observes it.

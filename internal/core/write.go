@@ -193,13 +193,22 @@ func (c *Controller) issueCoarseWrite(r *mem.Request) {
 	// IRLP: window covers the write's occupancy; only the chips doing
 	// essential programming count as serving data.
 	if prog > 0 {
-		c.Metrics.IRLP.AddWriteWindow(t0, end)
+		c.Metrics.IRLP.AddWriteWindow(now, t0, end)
+		// One weighted report per run of words with equal programming
+		// time.
+		var pd sim.Time
+		n := 0
 		for w := 0; w < ecc.WordsPerLine; w++ {
-			if essMask&(1<<uint(w)) != 0 {
-				pd := c.progTime(res.PerWord[w])
-				c.Metrics.IRLP.AddChipService(t0+act, t0+act+pd)
+			if essMask&(1<<uint(w)) == 0 {
+				continue
 			}
+			if d := c.progTime(res.PerWord[w]); d != pd {
+				c.Metrics.IRLP.AddChipService(now, t0+act, t0+act+pd, n)
+				pd, n = d, 0
+			}
+			n++
 		}
+		c.Metrics.IRLP.AddChipService(now, t0+act, t0+act+pd, n)
 	}
 
 	c.eng.At(end, c.newWriteEv(r, aw, 0, false).fire)
@@ -314,7 +323,7 @@ func (c *Controller) issueFineWrite(r *mem.Request, overlap bool) {
 		chip.OpenRowIn(coord.Bank, coord.Row)
 		if j.flips.Any() {
 			chip.CountWrite(j.flips)
-			c.Metrics.IRLP.AddChipService(e-prog, e)
+			c.Metrics.IRLP.AddChipService(now, e-prog, e, 1)
 		}
 		return s, e
 	}
@@ -363,7 +372,7 @@ func (c *Controller) issueFineWrite(r *mem.Request, overlap bool) {
 		end = step1End
 	}
 
-	c.Metrics.IRLP.AddWriteWindow(t0, end)
+	c.Metrics.IRLP.AddWriteWindow(now, t0, end)
 
 	aw.req, aw.bank, aw.essCount, aw.end = r, coord.Bank, essCount, end
 	aw.coord, aw.mask = coord, r.Mask

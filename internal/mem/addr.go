@@ -33,6 +33,7 @@ type AddrMap struct {
 	chBits, colBits, bankBits int
 	linesPerRow               int
 	rows                      int64
+	lines                     uint64 // lines across all channels
 }
 
 // NewAddrMap builds the mapping for the given memory geometry.
@@ -52,7 +53,30 @@ func NewAddrMap(g Geometry) (*AddrMap, error) {
 	if a.rows <= 0 {
 		return nil, fmt.Errorf("mem: capacity %d too small for geometry", g.CapacityBytes)
 	}
+	a.lines = uint64(a.rows) << uint(a.chBits+a.colBits+a.bankBits)
 	return a, nil
+}
+
+// RangeError reports a byte address beyond the mapped capacity, which
+// Decode would wrap onto another line.
+type RangeError struct {
+	Addr     uint64
+	Capacity uint64 // mapped bytes: addresses [0, Capacity) decode 1:1
+}
+
+func (e *RangeError) Error() string {
+	return fmt.Sprintf("mem: address %#x beyond the %d-byte memory capacity", e.Addr, e.Capacity)
+}
+
+// Check returns a *RangeError when addr lies beyond the mapped
+// capacity. Decode itself stays unchecked: the simulator's own
+// footprints stay in range, and external address streams (traces) are
+// checked once at their boundary.
+func (a *AddrMap) Check(addr uint64) error {
+	if addr>>6 >= a.lines {
+		return &RangeError{Addr: addr, Capacity: a.lines << 6}
+	}
+	return nil
 }
 
 // Coord locates a line within the memory system.
@@ -88,6 +112,12 @@ func (a *AddrMap) Decode(addr uint64) Coord {
 	c.LineIdx = (uint64(c.Row)*uint64(a.Banks)+uint64(c.Bank))*uint64(a.linesPerRow) + uint64(c.Col)
 	c.RotIdx = uint64(c.Row)*uint64(a.linesPerRow) + uint64(c.Col)
 	return c
+}
+
+// Channel returns Decode(addr).Channel from the channel bits alone,
+// without the row division.
+func (a *AddrMap) Channel(addr uint64) int {
+	return int((addr >> 6) & uint64(a.Channels-1))
 }
 
 // Encode is the inverse of Decode for in-capacity coordinates, used by

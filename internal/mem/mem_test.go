@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -202,5 +203,59 @@ func TestWriteThroughput(t *testing.T) {
 	m.NoteDone(sim.Microsecond * 10)
 	if got := m.WriteThroughput(); got != 10 {
 		t.Fatalf("throughput %v writes/us, want 10", got)
+	}
+}
+
+// TestAddrMapChannelMatchesDecode: the channel shortcut must agree with
+// the full decode for every address, in capacity or not, on every
+// power-of-two channel count.
+func TestAddrMapChannelMatchesDecode(t *testing.T) {
+	for _, ch := range []int{1, 2, 4, 8} {
+		g := defaultGeometry()
+		g.Channels = ch
+		a, err := NewAddrMap(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := quick.Check(func(addr uint64) bool {
+			return a.Channel(addr) == a.Decode(addr).Channel
+		}, &quick.Config{MaxCount: 5000}); err != nil {
+			t.Errorf("%d channels: %v", ch, err)
+		}
+	}
+}
+
+// TestAddrMapCheck pins the capacity boundary: the last line decodes
+// 1:1, the first byte past it and far-out addresses (which Decode
+// would wrap onto in-capacity lines) are a *RangeError.
+func TestAddrMapCheck(t *testing.T) {
+	a, err := NewAddrMap(defaultGeometry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const capacity = 8 << 30
+	cases := []struct {
+		addr uint64
+		ok   bool
+	}{
+		{0, true},
+		{capacity - 64, true},
+		{capacity - 1, true},
+		{capacity, false},
+		{1<<64 - 64, false},
+		{1<<63 + 128, false},
+	}
+	for _, c := range cases {
+		err := a.Check(c.addr)
+		if c.ok {
+			if err != nil {
+				t.Errorf("%#x: %v", c.addr, err)
+			}
+			continue
+		}
+		var re *RangeError
+		if !errors.As(err, &re) || re.Addr != c.addr || re.Capacity != capacity {
+			t.Errorf("%#x: want *RangeError{%#x, %d}, got %v", c.addr, c.addr, capacity, err)
+		}
 	}
 }

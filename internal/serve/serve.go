@@ -377,8 +377,13 @@ func (s *Server) worker() {
 // the simulation are already converted to *exp.JobPanicError by the
 // runner; classification into an HTTP answer happens in the handler.
 func (s *Server) runTask(t *task) {
-	defer close(t.done)
-	defer t.cancel()
+	// Publish the result before cancelling the job context: a handler
+	// woken by ctx.Done() must find t.done closed, or it answers a
+	// finished job as abandoned at shutdown.
+	defer func() {
+		close(t.done)
+		t.cancel()
+	}()
 	r := s.runnerFor(t.warmup, t.measure)
 	for attempt := 0; ; attempt++ {
 		t.res, t.err = r.RunCtx(t.ctx, t.spec)

@@ -100,6 +100,41 @@ func TestServeByteIdenticalToCLI(t *testing.T) {
 	}
 }
 
+// TestRunTaskClosesDoneBeforeCancel pins the worker's hand-off order.
+// A handler waits on t.done or t.ctx.Done(); if the worker cancelled
+// the job context first, a handler woken in between would find done
+// still open and answer a successful job 503 "job abandoned at
+// shutdown".
+func TestRunTaskClosesDoneBeforeCancel(t *testing.T) {
+	tune := func(r *exp.Runner) {
+		r.SetSimulate(func(_ context.Context, _ *config.Config, workload string, _, _ uint64) (*system.Results, error) {
+			return stubResults(workload), nil
+		})
+	}
+	s := New(Config{Logf: t.Logf, tune: tune})
+	defer s.Close()
+	tk := &task{spec: exp.Spec{Workload: "MP4", Variant: config.RWoWRDE}, warmup: 1, measure: 1, done: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	doneAtCancel, cancelled := false, false
+	tk.ctx = ctx
+	tk.cancel = func() {
+		select {
+		case <-tk.done:
+			doneAtCancel = true
+		default:
+		}
+		cancelled = true
+		cancel()
+	}
+	s.runTask(tk)
+	if tk.err != nil {
+		t.Fatalf("task failed: %v", tk.err)
+	}
+	if !cancelled || !doneAtCancel {
+		t.Fatalf("worker cancelled the job context (%v) before closing done (closed first: %v)", cancelled, doneAtCancel)
+	}
+}
+
 // TestServeCoalescesIdenticalJobs pins the single-flight contract at
 // the service layer: N concurrent identical specs must execute exactly
 // one simulation and all get the same answer.

@@ -73,9 +73,9 @@ func TestLatencyTracker(t *testing.T) {
 func TestIRLPSingleWrite(t *testing.T) {
 	x := NewIRLP()
 	// One write [100,300) with 2 chips serving the whole window.
-	x.AddWriteWindow(100, 300)
-	x.AddChipService(100, 300)
-	x.AddChipService(100, 300)
+	x.AddWriteWindow(0, 100, 300)
+	x.AddChipService(0, 100, 300, 1)
+	x.AddChipService(0, 100, 300, 1)
 	x.Finalize(8)
 	if got := x.Average(); math.Abs(got-2) > 1e-9 {
 		t.Fatalf("IRLP %v, want 2", got)
@@ -90,12 +90,10 @@ func TestIRLPSingleWrite(t *testing.T) {
 
 func TestIRLPReadOverlapRaisesParallelism(t *testing.T) {
 	x := NewIRLP()
-	x.AddWriteWindow(0, 200)
-	x.AddChipService(0, 200) // the write's one essential chip
+	x.AddWriteWindow(0, 0, 200)
+	x.AddChipService(0, 0, 200, 1) // the write's one essential chip
 	// A read served on 7 chips during the first half of the write.
-	for i := 0; i < 7; i++ {
-		x.AddChipService(0, 100)
-	}
+	x.AddChipService(0, 0, 100, 7)
 	x.Finalize(8)
 	// First half: 8 busy, second half: 1 busy -> average 4.5.
 	if got := x.Average(); math.Abs(got-4.5) > 1e-9 {
@@ -108,10 +106,10 @@ func TestIRLPReadOverlapRaisesParallelism(t *testing.T) {
 
 func TestIRLPServiceOutsideWriteWindowIgnored(t *testing.T) {
 	x := NewIRLP()
-	x.AddWriteWindow(100, 200)
-	x.AddChipService(0, 100)   // entirely before
-	x.AddChipService(200, 400) // entirely after
-	x.AddChipService(100, 200) // inside
+	x.AddWriteWindow(0, 100, 200)
+	x.AddChipService(0, 0, 100, 1)   // entirely before
+	x.AddChipService(0, 200, 400, 1) // entirely after
+	x.AddChipService(0, 100, 200, 1) // inside
 	x.Finalize(8)
 	if got := x.Average(); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("IRLP %v, want 1 (outside-window service must not count)", got)
@@ -120,9 +118,9 @@ func TestIRLPServiceOutsideWriteWindowIgnored(t *testing.T) {
 
 func TestIRLPClampsToMaxChips(t *testing.T) {
 	x := NewIRLP()
-	x.AddWriteWindow(0, 100)
+	x.AddWriteWindow(0, 0, 100)
 	for i := 0; i < 12; i++ {
-		x.AddChipService(0, 100)
+		x.AddChipService(0, 0, 100, 1)
 	}
 	x.Finalize(8)
 	if got := x.Average(); !approx(got, 8) {
@@ -133,9 +131,9 @@ func TestIRLPClampsToMaxChips(t *testing.T) {
 func TestIRLPOverlappingWrites(t *testing.T) {
 	x := NewIRLP()
 	// Two writes overlapping: union window is [0, 300).
-	x.AddWriteWindow(0, 200)
-	x.AddWriteWindow(100, 300)
-	x.AddChipService(0, 300)
+	x.AddWriteWindow(0, 0, 200)
+	x.AddWriteWindow(0, 100, 300)
+	x.AddChipService(0, 0, 300, 1)
 	x.Finalize(8)
 	if x.WriteBusyTime() != 300 {
 		t.Fatalf("union window %v, want 300", x.WriteBusyTime())
@@ -154,10 +152,10 @@ func TestIRLPProperty(t *testing.T) {
 		n := 1 + rng.Intn(20)
 		for i := 0; i < n; i++ {
 			s := sim.Time(rng.Intn(1000))
-			x.AddWriteWindow(s, s+sim.Time(1+rng.Intn(200)))
+			x.AddWriteWindow(0, s, s+sim.Time(1+rng.Intn(200)))
 			for j := 0; j < rng.Intn(4); j++ {
 				cs := sim.Time(rng.Intn(1200))
-				x.AddChipService(cs, cs+sim.Time(1+rng.Intn(100)))
+				x.AddChipService(0, cs, cs+sim.Time(1+rng.Intn(100)), 1)
 			}
 		}
 		x.Finalize(8)
@@ -196,15 +194,4 @@ func TestMeans(t *testing.T) {
 	if !approx(m.Value(), 15) || m.Count() != 2 {
 		t.Fatalf("mean %v/%d", m.Value(), m.Count())
 	}
-}
-
-func TestMergeIRLPPanicsAfterFinalize(t *testing.T) {
-	a, b := NewIRLP(), NewIRLP()
-	a.Finalize(8)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merge after finalize must panic")
-		}
-	}()
-	MergeIRLP(a, b)
 }

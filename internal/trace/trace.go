@@ -10,6 +10,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -31,6 +32,9 @@ type Record struct {
 var magic = [16]byte{'P', 'C', 'M', 'A', 'P', '-', 'T', 'R', 'A', 'C', 'E', '-', 'v', '1', 0, 0}
 
 const recordBytes = 24
+
+// HasHeader reports whether b begins with the request-trace header.
+func HasHeader(b []byte) bool { return bytes.HasPrefix(b, magic[:]) }
 
 // Writer streams records to an io.Writer.
 type Writer struct {
@@ -150,6 +154,19 @@ func (t *Reader) Read() (Record, error) {
 		return Record{}, &decodeError{record: idx, reason: fmt.Sprintf("unknown request kind %d", int(rec.Kind))}
 	}
 	return rec, nil
+}
+
+// CheckCapacity returns an error naming the first record whose address
+// lies beyond amap's capacity, where Decode would alias it onto
+// another line. The error is a *decodeError wrapping the
+// *mem.RangeError.
+func CheckCapacity(records []Record, amap *mem.AddrMap) error {
+	for i := range records {
+		if err := amap.Check(records[i].Addr); err != nil {
+			return &decodeError{record: int64(i), reason: "address out of range", err: err}
+		}
+	}
+	return nil
 }
 
 // ReadAll drains the reader.

@@ -128,6 +128,28 @@ func TestReadRejectsUnreplayableRecords(t *testing.T) {
 	}
 }
 
+// TestCheckCapacityNamesRecord: an address beyond memory capacity,
+// which Decode would alias onto another line, is reported with the
+// record's index and the underlying *mem.RangeError.
+func TestCheckCapacityNamesRecord(t *testing.T) {
+	amap, err := mem.NewAddrMap(config.Default().Memory.Geometry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range []uint64{1<<64 - 64, 1<<63 + 128} {
+		recs := []Record{{Addr: 64}, {Addr: 128, Kind: mem.Write}, {Addr: addr}}
+		err := CheckCapacity(recs, amap)
+		var de *decodeError
+		var re *mem.RangeError
+		if !errors.As(err, &de) || de.record != 2 || !errors.As(err, &re) || re.Addr != addr {
+			t.Errorf("%#x: want record 2 out of range, got %v", addr, err)
+		}
+	}
+	if err := CheckCapacity([]Record{{Addr: 64}}, amap); err != nil {
+		t.Errorf("in-capacity trace rejected: %v", err)
+	}
+}
+
 func TestEmptyTraceReadsEOF(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)

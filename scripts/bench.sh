@@ -22,7 +22,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-1s}"
-PATTERN='^(BenchmarkEngine|BenchmarkEngineTimer|BenchmarkEngineTraceDisabled|BenchmarkSECDEDEncode|BenchmarkSECDEDCorrect|BenchmarkSECDEDDecodeClean|BenchmarkPCCReconstruct|BenchmarkPCCUpdate|BenchmarkRNGUint64|BenchmarkRNGExp|BenchmarkRNGPick|BenchmarkCacheLoadHit|BenchmarkStoreGetWarm|BenchmarkAnalyzeLineWrite|BenchmarkGeneratorNext|BenchmarkControllerRequests|BenchmarkFig1)$'
+PATTERN='^(BenchmarkEngine|BenchmarkEngineTimer|BenchmarkEngineTraceDisabled|BenchmarkSECDEDEncode|BenchmarkSECDEDCorrect|BenchmarkSECDEDDecodeClean|BenchmarkPCCReconstruct|BenchmarkPCCUpdate|BenchmarkRNGUint64|BenchmarkRNGExp|BenchmarkRNGPick|BenchmarkCacheLoadHit|BenchmarkStoreGetWarm|BenchmarkAnalyzeLineWrite|BenchmarkGeneratorNext|BenchmarkIRLPStream|BenchmarkControllerRequests|BenchmarkFig1)$'
 
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT

@@ -2,6 +2,7 @@
 # Lint entry point, shared by `make lint` and CI.
 #
 # Always runs:
+#   gofmt -l      — every Go file outside testdata must be gofmt-clean
 #   go vet        — the standard vet checks
 #   pcmaplint     — the project's custom analyzers (determinism, unit
 #                   safety, metrics lifecycle, typed errors, float
@@ -30,6 +31,20 @@ run() {
 		failed="$failed $name"
 	fi
 }
+
+# gofmt -l prints the files that need formatting and exits 0 either
+# way, so the check fails on non-empty output. testdata holds analyzer
+# fixtures kept exactly as written; .bench_build holds build caches.
+gofmt_check() {
+	unformatted=$(find . \( -path ./.git -o -path ./.bench_build -o -name testdata \) -prune \
+		-o -name '*.go' -print | xargs gofmt -l)
+	if [ -n "$unformatted" ]; then
+		echo "not gofmt-clean (run gofmt -w):"
+		echo "$unformatted"
+		return 1
+	fi
+}
+run 'gofmt' gofmt_check
 
 run 'go vet' go vet ./...
 
